@@ -54,6 +54,7 @@ from repro.core.policies import PeerSelection
 from repro.net.daemon import _ENVELOPE, _KIND_REPLY
 from repro.net.engine import LiveEngine
 from repro.net.transport import LoopbackNetwork
+from repro.simulation.arrayviews import group_cut
 from repro.simulation.engine import CycleEngine
 from repro.simulation.event_engine import EventEngine
 from repro.simulation.fast import FastCycleEngine
@@ -290,7 +291,6 @@ class FastAdversary:
         vlen = engine._vlen
         row_of = engine._row_of
         alive = engine._alive
-        addr_of = engine._addr_of
         push = config.push
         pull = config.pull
         peer_sel = config.peer_selection
@@ -300,7 +300,7 @@ class FastAdversary:
             engine.omniscient_peer_selection and engine._maybe_dead_refs
         )
         check_dead = not engine.omniscient_peer_selection
-        reachable = engine.reachable
+        group = engine._group
         randrange = rng.randrange
         merge_into = engine._merge_into
         inc = (1).__add__
@@ -353,9 +353,7 @@ class FastAdversary:
             if check_dead and not alive[p]:
                 failed += 1
                 continue
-            if reachable is not None and not reachable(
-                addr_of[i], addr_of[p]
-            ):
+            if group is not None and group_cut(group, i, p):
                 failed += 1
                 continue
             p_atk = p in attackers
@@ -506,7 +504,7 @@ class FastEventAdversary:
         vlen = engine._vlen
         row_of = engine._row_of
         alive = engine._alive
-        addr_of = engine._addr_of
+        group = engine._group
         m_ids = engine._m_ids
         m_hops = engine._m_hops
         m_len = engine._m_len
@@ -527,7 +525,6 @@ class FastEventAdversary:
         alive_at = alive.__getitem__
         rand = rng.random
         (
-            reachable,
             latency_sample,
             loss_drops,
             no_loss,
@@ -572,8 +569,8 @@ class FastEventAdversary:
                     ) * ticks_per_period
                     boundary_key = next_boundary << tick_shift
                     seq = sched._seq
+                    group = engine._group
                     (
-                        reachable,
                         latency_sample,
                         loss_drops,
                         no_loss,
@@ -635,9 +632,7 @@ class FastEventAdversary:
                     base_key = key & tick_mask
                     if p >= 0:
                         sent += 1
-                        if reachable is not None and not reachable(
-                            addr_of[i], addr_of[p]
-                        ):
+                        if group is not None and group_cut(group, i, p):
                             lost += 1
                         elif no_loss or (
                             rand() >= bernoulli_p
@@ -789,9 +784,7 @@ class FastEventAdversary:
                     free_append(slot)
                     if rslot >= 0:
                         sent += 1
-                        if reachable is not None and not reachable(
-                            addr_of[dst], addr_of[src]
-                        ):
+                        if group is not None and group_cut(group, dst, src):
                             lost += 1
                             free_append(rslot)
                         elif no_loss or (

@@ -203,9 +203,7 @@ class LiveEngine(BaseEngine):
                 # peer selection (and skips a real-time pull timeout).
                 self.failed_exchanges += 1
                 continue
-            if self.reachable is not None and not self.reachable(
-                address, exchange.peer
-            ):
+            if self._cut(address, exchange.peer):
                 # Engine-level partition model, applied exactly where the
                 # cycle engine applies it: after peer selection, before
                 # the send -- no timeout is wasted on a known partition.

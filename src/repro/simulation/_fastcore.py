@@ -137,6 +137,8 @@ static void sample_range(int64_t n, int64_t k, int64_t *result,
 
 static int64_t *g_vids, *g_vhops, *g_vlen, *g_rowof;
 static unsigned char *g_alive;
+static int64_t *g_group;   /* partition group per id, -1 = unconstrained;
+                              NULL while no partition is installed */
 static int64_t g_c, g_H, g_S;
 static int g_keepself, g_push, g_pull, g_ps, g_vs, g_omniscient, g_shuffle;
 
@@ -155,11 +157,11 @@ static void fs_sample(uint64_t key, int64_t m, int64_t k,
                       int64_t *result, int64_t *pool);
 
 void fc_setup(int64_t *vids, int64_t *vhops, int64_t *vlen, int64_t *rowof,
-              unsigned char *alive, int64_t c, int64_t healer,
-              int64_t swapper, int keepself, int push, int pull,
-              int ps, int vs, int omniscient, int do_shuffle) {
+              unsigned char *alive, int64_t *group, int64_t c,
+              int64_t healer, int64_t swapper, int keepself, int push,
+              int pull, int ps, int vs, int omniscient, int do_shuffle) {
     g_vids = vids; g_vhops = vhops; g_vlen = vlen; g_rowof = rowof;
-    g_alive = alive;
+    g_alive = alive; g_group = group;
     g_c = c; g_H = healer; g_S = swapper;
     g_keepself = keepself; g_push = push; g_pull = pull;
     g_ps = ps; g_vs = vs; g_omniscient = omniscient; g_shuffle = do_shuffle;
@@ -181,6 +183,15 @@ void fc_setup(int64_t *vids, int64_t *vhops, int64_t *vlen, int64_t *rowof,
         s_cand = malloc((size_t)c * sizeof(int64_t));
         g_scratch_c = c;
     }
+}
+
+/* Whether the installed partition drops messages between ids a and b
+   (the flat-array group_cut): both have a group and the groups differ. */
+static int cut(int64_t a, int64_t b) {
+    int64_t ga, gb;
+    if (!g_group) return 0;
+    ga = g_group[a]; gb = g_group[b];
+    return ga != gb && ga >= 0 && gb >= 0;
 }
 
 /* view <- selectView(merge(received, view)); received hop counts arrive
@@ -339,12 +350,11 @@ void fc_bootstrap(int64_t n, int64_t k, int64_t fill, int64_t *rstate) {
 }
 
 /* ------------------------------------------------------------------ */
-/* Event-driven entry points: per-exchange steps over the same kernel  */
-/* state, driven by the fast event engine's tick scheduler.  Unlike    */
-/* fc_run_cycle, the MT19937 state stays *resident* between calls      */
-/* (fc_load_state / fc_store_state bracket a scheduling slice);        */
-/* Python-side draws in between (loss, latency) go through fc_random / */
-/* fc_getrandbits, so there is still one seamless logical RNG stream.  */
+/* Event-driven steps over the same kernel state, driven by the        */
+/* whole-slice loop fc_event_run below.  Unlike fc_run_cycle, the      */
+/* MT19937 state stays *resident* across the calls of one scheduling   */
+/* slice (fc_load_state / fc_store_state bracket it), so loss and      */
+/* latency draws (fc_random) continue the same logical RNG stream.     */
 /* ------------------------------------------------------------------ */
 
 static int64_t *g_mids, *g_mhops, *g_mlen;   /* message slot pool */
@@ -363,14 +373,9 @@ void fc_store_state(int64_t *rstate) {
 }
 
 /* Random.random(): genrand_res53, bit-exact with _randommodule.c. */
-double fc_random(void) {
+static double fc_random(void) {
     uint32_t a = genrand_uint32() >> 5, b = genrand_uint32() >> 6;
     return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
-}
-
-/* Random.getrandbits(k) for 1 <= k <= 32 (one MT word). */
-uint32_t fc_getrandbits(int k) {
-    return genrand_uint32() >> (32 - k);
 }
 
 void fc_event_setup(int64_t *mids, int64_t *mhops, int64_t *mlen,
@@ -382,11 +387,11 @@ void fc_event_setup(int64_t *mids, int64_t *mhops, int64_t *mlen,
 /* First half of the active thread for node i (GossipNode.begin_exchange):
    age the view, select the exchange partner, build the request payload --
    merge(view, {(me, 0)}) with the receiver-side increaseHopCount already
-   applied -- into message slot `slot`.  out = {peer (-1: none), npay}.
+   applied -- into message slot `slot`.  Returns the peer (-1: none).
    Under non-omniscient selection the peer may be dead; the caller
    delivers anyway and the failure is counted at delivery, exactly like
    the object-per-node event engine. */
-void fc_event_begin(int64_t i, int64_t slot, int64_t *out) {
+static int64_t ev_begin_exchange(int64_t i, int64_t slot) {
     int64_t row = g_rowof[i], base = row * g_c, ln = g_vlen[row];
     int64_t p = -1, npay = 0, k;
     for (k = 0; k < ln; k++) g_vhops[base + k]++;
@@ -418,18 +423,16 @@ void fc_event_begin(int64_t i, int64_t slot, int64_t *out) {
         npay = ln + 1;
     }
     g_mlen[slot] = npay;
-    out[0] = p; out[1] = npay;
+    return p;
 }
 
 /* Deliver message slot `slot` to node `dst`.  For pull replies
    (reply_slot >= 0) the reply snapshot is built BEFORE the merge,
    exactly like the passive thread in Figure 1; an empty payload (the
    pull-only request) skips the merge, which is draw- and state-neutral
-   (no truncation can trigger below capacity).  out = {nreply}. */
-void fc_event_deliver(int64_t dst, int64_t slot, int64_t reply_slot,
-                      int64_t *out) {
-    int64_t off = slot * (g_c + 1), n = g_mlen[slot];
-    int64_t nreply = 0, k;
+   (no truncation can trigger below capacity). */
+static void ev_deliver_slot(int64_t dst, int64_t slot, int64_t reply_slot) {
+    int64_t off = slot * (g_c + 1), n = g_mlen[slot], k;
     if (reply_slot >= 0) {
         int64_t row = g_rowof[dst], base = row * g_c, ln = g_vlen[row];
         int64_t roff = reply_slot * (g_c + 1);
@@ -438,11 +441,9 @@ void fc_event_deliver(int64_t dst, int64_t slot, int64_t reply_slot,
             g_mids[roff + 1 + k] = g_vids[base + k];
             g_mhops[roff + 1 + k] = g_vhops[base + k] + 1;
         }
-        nreply = ln + 1;
-        g_mlen[reply_slot] = nreply;
+        g_mlen[reply_slot] = ln + 1;
     }
     if (n) merge_into(dst, g_mids + off, g_mhops + off, n);
-    out[0] = nreply;
 }
 
 /* ------------------------------------------------------------------ */
@@ -504,7 +505,8 @@ static void heap_remove_top(int64_t *ht, int64_t *hs, int64_t *hd,
    boundary, an empty heap, or a capacity limit.  The caller re-enters
    after handling the return reason; counters accumulate
    {completed, failed, sent, lost} and now_io tracks the last dispatched
-   tick (the Python scheduler's notion of "now").  Loss is decided
+   tick (the Python scheduler's notion of "now").  A message the
+   partition cuts is lost without any draw; otherwise loss is decided
    before latency is sampled, per message, exactly like the reference
    event engine; loss_code 1 = Bernoulli(loss_p); lat_code 0 = constant
    (const_delay ticks), 1 = uniform(lat_a + lat_b * random()),
@@ -539,14 +541,11 @@ int64_t fc_event_run(int64_t end_tick, int64_t boundary_tick,
             i = data;
             if (!g_alive[i]) continue;   /* the timer dies with the node */
             slot = *free_len ? freelist[--(*free_len)] : (*pool_fresh)++;
-            {
-                int64_t out2[2];
-                fc_event_begin(i, slot, out2);
-                p = out2[0];
-            }
+            p = ev_begin_exchange(i, slot);
             if (p >= 0) {
                 counters[2]++;                        /* sent */
-                if (loss_code == 1 && fc_random() < loss_p) {
+                if (cut(i, p)
+                    || (loss_code == 1 && fc_random() < loss_p)) {
                     counters[3]++;                    /* lost */
                     freelist[(*free_len)++] = slot;
                 } else {
@@ -580,14 +579,14 @@ int64_t fc_event_run(int64_t end_tick, int64_t boundary_tick,
             }
             src = g_msrc[slot];
             if (g_pull) {
-                int64_t out2[2];
                 int64_t rslot =
                     *free_len ? freelist[--(*free_len)] : (*pool_fresh)++;
-                fc_event_deliver(dst, slot, rslot, out2);
+                ev_deliver_slot(dst, slot, rslot);
                 counters[0]++;                        /* completed */
                 freelist[(*free_len)++] = slot;
                 counters[2]++;                        /* sent */
-                if (loss_code == 1 && fc_random() < loss_p) {
+                if (cut(dst, src)
+                    || (loss_code == 1 && fc_random() < loss_p)) {
                     counters[3]++;
                     freelist[(*free_len)++] = rslot;
                 } else {
@@ -604,14 +603,13 @@ int64_t fc_event_run(int64_t end_tick, int64_t boundary_tick,
                                  EV_REPLY | rslot);
                 }
             } else {
-                int64_t out2[2];
-                fc_event_deliver(dst, slot, -1, out2);
+                ev_deliver_slot(dst, slot, -1);
                 counters[0]++;
                 freelist[(*free_len)++] = slot;
             }
 
         } else {                                      /* reply delivery */
-            int64_t dst, out2[2];
+            int64_t dst;
             slot = data & EV_IDX_MASK;
             dst = g_mdst[slot];
             if (!g_alive[dst]) {
@@ -619,7 +617,7 @@ int64_t fc_event_run(int64_t end_tick, int64_t boundary_tick,
                 freelist[(*free_len)++] = slot;
                 continue;
             }
-            fc_event_deliver(dst, slot, -1, out2);
+            ev_deliver_slot(dst, slot, -1);
             freelist[(*free_len)++] = slot;
         }
     }
@@ -680,12 +678,14 @@ static void fs_sample(uint64_t key, int64_t m, int64_t k,
 
 /* Phase 1 (active threads, request half) for the ids of one shard:
    age the view, select the peer via the keyed stream, emit one request
-   record per initiating node into `outbox`.  Returns the record count. */
+   record per initiating node into `outbox`.  Returns the record count;
+   *ncut receives the number of exchanges the partition cut (failed). */
 int64_t fs_request_phase(uint64_t seed, uint64_t rnd,
                          int64_t shard, int64_t nshards, int64_t n_ids,
-                         int64_t *outbox) {
+                         int64_t *outbox, int64_t *ncut) {
     int64_t stride = 2 * (g_c + 1) + 3;
     int64_t w = 0, i, k;
+    *ncut = 0;
     for (i = shard; i < n_ids; i += nshards) {
         int64_t row, base, ln, p = -1, *msg, npay = 0;
         if (!g_alive[i]) continue;
@@ -713,6 +713,7 @@ int64_t fs_request_phase(uint64_t seed, uint64_t rnd,
             else if (g_ps == 1) p = g_vids[base];
             else p = g_vids[base + ln - 1];
         }
+        if (cut(i, p)) { (*ncut)++; continue; }
         msg = outbox + w * stride;
         msg[0] = i; msg[1] = p;
         if (g_push) {
@@ -838,6 +839,7 @@ void fc_run_cycle(int64_t *order, int64_t norder, int64_t *rstate,
             else p = g_vids[base + ln - 1];
             if (!g_alive[p]) { failed++; continue; }
         }
+        if (cut(i, p)) { failed++; continue; }
         /* request payload: merge(view, {(me, 0)}), receiver-incremented. */
         if (g_push) {
             s_rqi[0] = i; s_rqh[0] = 1;
@@ -891,7 +893,7 @@ class Accelerator:
     def __init__(self, lib: ctypes.CDLL) -> None:
         self._lib = lib
         lib.fc_setup.argtypes = [
-            _I64P, _I64P, _I64P, _I64P, _U8P,
+            _I64P, _I64P, _I64P, _I64P, _U8P, _I64P,
             ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
             ctypes.c_int, ctypes.c_int, ctypes.c_int,
             ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_int,
@@ -909,20 +911,8 @@ class Accelerator:
         lib.fc_load_state.restype = None
         lib.fc_store_state.argtypes = [_I64P]
         lib.fc_store_state.restype = None
-        lib.fc_random.argtypes = []
-        lib.fc_random.restype = ctypes.c_double
-        lib.fc_getrandbits.argtypes = [ctypes.c_int]
-        lib.fc_getrandbits.restype = ctypes.c_uint32
         lib.fc_event_setup.argtypes = [_I64P, _I64P, _I64P, _I64P, _I64P]
         lib.fc_event_setup.restype = None
-        lib.fc_event_begin.argtypes = [
-            ctypes.c_int64, ctypes.c_int64, _I64P,
-        ]
-        lib.fc_event_begin.restype = None
-        lib.fc_event_deliver.argtypes = [
-            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _I64P,
-        ]
-        lib.fc_event_deliver.restype = None
         lib.fc_heap_push.argtypes = [
             ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
             _I64P, _I64P, _I64P, _I64P,
@@ -946,6 +936,7 @@ class Accelerator:
             ctypes.c_uint64, ctypes.c_uint64,          # phase seed, round
             ctypes.c_int64, ctypes.c_int64,            # shard, nshards
             ctypes.c_int64, _I64P,                     # n_ids, outbox
+            _I64P,                                     # ncut
         ]
         lib.fs_request_phase.restype = ctypes.c_int64
         lib.fs_deliver.argtypes = [
@@ -962,11 +953,7 @@ class Accelerator:
         self.bootstrap = lib.fc_bootstrap
         self.load_state = lib.fc_load_state
         self.store_state = lib.fc_store_state
-        self.rand_double = lib.fc_random
-        self.rand_bits = lib.fc_getrandbits
         self.event_setup = lib.fc_event_setup
-        self.event_begin = lib.fc_event_begin
-        self.event_deliver = lib.fc_event_deliver
         self.heap_push = lib.fc_heap_push
         self.event_run = lib.fc_event_run
         self.shard_request = lib.fs_request_phase

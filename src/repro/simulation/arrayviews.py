@@ -96,6 +96,18 @@ __all__ = ["FlatArrayEngine", "FastNode", "FastViewProxy"]
 _POLICY_CODE = {"rand": 0, "head": 1, "tail": 2}
 
 
+def group_cut(group, a: int, b: int) -> bool:
+    """Whether the partition array ``group`` separates ids ``a`` and ``b``.
+
+    ``group`` holds one group id per interned id, ``-1`` meaning
+    unconstrained (see :meth:`FlatArrayEngine.set_partition`); the C core
+    applies the same test.
+    """
+    group_a = group[a]
+    group_b = group[b]
+    return group_a != group_b and group_a >= 0 and group_b >= 0
+
+
 class FastViewProxy:
     """A ``PartialView``-compatible window onto one node's view row.
 
@@ -321,7 +333,7 @@ class FlatArrayEngine(BaseEngine):
 
     Implements the full :class:`~repro.simulation.base.BaseEngine`
     population API (``add_node`` / ``remove_node`` / ``crash_random_nodes``
-    / ``views`` / ``dead_link_count`` / observers / ``reachable``), so the
+    / ``views`` / ``dead_link_count`` / observers / ``set_partition``), so the
     scenario helpers, ``GraphSnapshot.from_engine`` and the experiment
     runners work unchanged.  Custom ``node_factory`` protocols are not
     supported -- extension protocols keep using the object-per-node
@@ -396,14 +408,12 @@ class FlatArrayEngine(BaseEngine):
         self._vlen = array("q")
         self._free_rows: List[int] = []
         self._zero_row = bytes(8 * self.config.view_size)
+        # partition group per id (-1 = unconstrained); None when healed.
+        self._group: Optional[array] = None
         # False until a crash/ghost contact makes dead view entries
         # possible; while False, the Python path skips liveness filtering
         # (the C path always filters -- same candidate set either way).
         self._maybe_dead_refs = False
-        # Growing an array('q') may move its buffer; consumers that hand
-        # raw pointers to the C core (the event engine) re-register when
-        # this is set.  The cycle engine re-registers every cycle anyway.
-        self._ptr_dirty = True
 
     @property
     def accelerated(self) -> bool:
@@ -421,7 +431,8 @@ class FlatArrayEngine(BaseEngine):
             self._addr_of.append(address)
             self._alive.append(0)
             self._row_of.append(-1)
-            self._ptr_dirty = True
+            if self._group is not None:
+                self._group.append(-1)  # joined mid-partition: unconstrained
         return node_id
 
     def _allocate_row(self) -> int:
@@ -431,7 +442,6 @@ class FlatArrayEngine(BaseEngine):
         self._vlen.append(0)
         self._vids.frombytes(self._zero_row)
         self._vhops.frombytes(self._zero_row)
-        self._ptr_dirty = True
         return row
 
     def _accel_setup(self, accel: Accelerator) -> None:
@@ -443,12 +453,14 @@ class FlatArrayEngine(BaseEngine):
         """
         config = self.config
         pointer = Accelerator.pointer
+        group = self._group
         accel.setup(
             pointer(self._vids.buffer_info()[0]),
             pointer(self._vhops.buffer_info()[0]),
             pointer(self._vlen.buffer_info()[0]),
             pointer(self._row_of.buffer_info()[0]),
             Accelerator.byte_pointer(self._alive.buffer_info()[0]),
+            None if group is None else pointer(group.buffer_info()[0]),
             config.view_size,
             config.healer,
             config.swapper,
@@ -570,6 +582,25 @@ class FlatArrayEngine(BaseEngine):
         for victim in victims:
             self._kill(self._id_of[victim])
         return victims
+
+    def set_partition(self, groups) -> None:
+        """Install (or, with ``None``, heal) a partition; see
+        :meth:`BaseEngine.set_partition`.
+
+        The groups are kept as data every execution path reads directly,
+        the C core included: one ``array('q')`` group id per interned id,
+        ``-1`` for addresses without a group.  Addresses interned later
+        (nodes joining mid-partition) get ``-1`` too.  Addresses of
+        ``groups`` the engine has never seen are interned here, so they
+        keep their group if they join later, as on the object engines.
+        """
+        super().set_partition(groups)
+        self._group = None
+        if groups is not None:
+            group = array("q", (-1,)) * len(self._addr_of)
+            self._group = group  # _intern grows it for unseen addresses
+            for address, g in groups.items():
+                group[self._intern(address)] = g
 
     # -- bulk bootstrap ----------------------------------------------------
 

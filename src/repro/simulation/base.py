@@ -9,7 +9,7 @@ lookup) -- while subclasses provide the execution model.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.core.config import ProtocolConfig
 from repro.core.descriptor import Address, NodeDescriptor
@@ -70,12 +70,7 @@ class BaseEngine:
         self.failed_exchanges = 0
         self.completed_exchanges = 0
         self._observers: List[Observer] = []
-        self.reachable: Optional[Callable[[Address, Address], bool]] = None
-        """Optional reachability predicate ``(sender, recipient) -> bool``.
-
-        When set, messages between unreachable pairs are dropped; this is
-        how :class:`~repro.simulation.churn.TemporaryPartition` models
-        network partitions."""
+        self._groups: Optional[Dict[Address, int]] = None
 
     # -- population management ---------------------------------------------
 
@@ -173,6 +168,43 @@ class BaseEngine:
 
     def _on_node_added(self, address: Address) -> None:
         """Subclass hook invoked after a node joins (e.g. to start timers)."""
+
+    # -- network partitions -------------------------------------------------
+
+    def set_partition(self, groups: Optional[Mapping[Address, int]]) -> None:
+        """Split the network into groups, or heal it with ``None``.
+
+        ``groups`` maps addresses to non-negative integer group ids.  While
+        it is installed, a message between two addresses that both have a
+        group and whose groups differ is dropped: the cycle engines count
+        the exchange as failed, the event engines count the message as
+        lost.  The cut is applied after peer selection and before any
+        loss or latency draw, so it consumes no randomness.  Addresses
+        missing from ``groups`` -- in particular nodes that join while the
+        partition is up -- are unconstrained.  The mapping is copied;
+        later changes to it have no effect until the next call.  This is
+        how :class:`~repro.simulation.churn.TemporaryPartition` models the
+        network split of the paper's Section 8 discussion.
+        """
+        if groups is not None:
+            groups = dict(groups)
+            for group in groups.values():
+                if type(group) is not int or group < 0:
+                    raise ConfigurationError(
+                        f"partition group ids must be ints >= 0: {group!r}"
+                    )
+        self._groups = groups
+
+    def _cut(self, sender: Address, recipient: Address) -> bool:
+        """Whether the installed partition drops ``sender -> recipient``."""
+        groups = self._groups
+        if groups is None:
+            return False
+        group_a = groups.get(sender)
+        group_b = groups.get(recipient)
+        return (
+            group_a is not None and group_b is not None and group_a != group_b
+        )
 
     # -- observers ------------------------------------------------------------
 

@@ -94,9 +94,11 @@ class TemporaryPartition(Observer):
     """Split the network into groups between two cycles, then heal it.
 
     At ``start_cycle`` every live node is assigned to one of ``n_groups``
-    groups (round-robin over a shuffled order); messages across groups are
-    dropped until ``end_cycle``.  Nodes joining during the partition land
-    in a random group.
+    groups (round-robin over a shuffled order) and the assignment is
+    installed with :meth:`~repro.simulation.base.BaseEngine.set_partition`;
+    messages across groups are dropped until ``end_cycle``.  Nodes joining
+    during the partition belong to no group and are unconstrained: they
+    reach, and are reached by, every group.
 
     The paper's discussion (Section 8) notes that with *head* view
     selection "all partitions will forget about each other very quickly",
@@ -127,20 +129,13 @@ class TemporaryPartition(Observer):
             for index, address in enumerate(addresses)
         }
 
-    def _reachable(self, sender: Address, recipient: Address) -> bool:
-        group_a = self.groups.get(sender)
-        group_b = self.groups.get(recipient)
-        if group_a is None or group_b is None:
-            return True  # joined during the partition: unconstrained
-        return group_a == group_b
-
     def before_cycle(self, engine: BaseEngine) -> None:  # type: ignore[override]
         if not self.active and self.start_cycle <= engine.cycle < self.end_cycle:
             self._assign(engine)
-            engine.reachable = self._reachable
+            engine.set_partition(self.groups)
             self.active = True
         elif self.active and engine.cycle >= self.end_cycle:
-            engine.reachable = None
+            engine.set_partition(None)
             self.active = False
 
     def group_members(self, engine: BaseEngine, group: int) -> List[Address]:

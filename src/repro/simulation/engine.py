@@ -64,9 +64,7 @@ class CycleEngine(BaseEngine):
                 # Message to a dead/unknown address: silently lost.
                 self.failed_exchanges += 1
                 continue
-            if self.reachable is not None and not self.reachable(
-                address, exchange.peer
-            ):
+            if self._cut(address, exchange.peer):
                 self.failed_exchanges += 1
                 continue
             response = peer.handle_request(address, exchange.payload)

@@ -218,9 +218,9 @@ class EventEngine(BaseEngine):
             self._on_reply(event)
 
     def _send(self, sender: Address, recipient: Address, message: object) -> bool:
-        """Apply loss and reachability, schedule delivery; report acceptance."""
+        """Apply the partition and loss, schedule delivery; report acceptance."""
         self.messages_sent += 1
-        if self.reachable is not None and not self.reachable(sender, recipient):
+        if self._cut(sender, recipient):
             self.messages_lost += 1
             return False
         if self.loss.drops(self.rng):

@@ -73,6 +73,7 @@ from repro.simulation.arrayviews import (
     FastNode,
     FastViewProxy,
     FlatArrayEngine,
+    group_cut,
 )
 
 __all__ = ["FastCycleEngine", "FastNode", "FastViewProxy"]
@@ -115,7 +116,6 @@ class FastCycleEngine(FlatArrayEngine):
             adversary.run_cycle(self)
         elif (
             self._accel is not None
-            and self.reachable is None
             and not self.config.validate_descriptors
             and type(self.rng) is random.Random
         ):
@@ -164,7 +164,6 @@ class FastCycleEngine(FlatArrayEngine):
         vlen = self._vlen
         row_of = self._row_of
         alive = self._alive
-        addr_of = self._addr_of
         push = config.push
         pull = config.pull
         peer_sel = config.peer_selection
@@ -172,7 +171,7 @@ class FastCycleEngine(FlatArrayEngine):
         ps_head = peer_sel is PeerSelection.HEAD
         filter_dead = self.omniscient_peer_selection and self._maybe_dead_refs
         check_dead = not self.omniscient_peer_selection
-        reachable = self.reachable
+        group = self._group
         randrange = rng.randrange
         merge_into = self._merge_into
         validating = config.validate_descriptors
@@ -224,9 +223,7 @@ class FastCycleEngine(FlatArrayEngine):
                     # Message to a dead address: silently lost.
                     failed += 1
                     continue
-            if reachable is not None and not reachable(
-                addr_of[i], addr_of[p]
-            ):
+            if group is not None and group_cut(group, i, p):
                 failed += 1
                 continue
             # request payload = merge(view, {(me, 0)}) with the receiver's

@@ -46,14 +46,28 @@ protocols, latency/loss models and churn.
 Execution backends
 ------------------
 
-Like the fast cycle engine, the hot path has two interchangeable
-implementations: a pure-Python loop over the kernel primitives, and an
-accelerated path that calls the compiled C core once per protocol step
-(``fc_event_begin`` / ``fc_event_deliver``) with the Mersenne Twister
-state *resident* in C for the duration of a scheduling slice --
-engine-level draws (loss, latency, churn at cycle boundaries) go through
-a bit-exact C-backed ``random.Random`` facade, so the logical RNG stream
-stays seamless.  Both backends produce byte-identical results.
+The dispatch loop has two interchangeable implementations, and both
+produce byte-identical results:
+
+- the whole-slice C loop (``fc_event_run`` in
+  :mod:`~repro.simulation._fastcore`), which runs whenever the C core is
+  loaded, the RNG is a plain ``random.Random``, descriptor validation is
+  off and the latency and loss models are built-in ones (``NoLoss`` /
+  ``BernoulliLoss``; ``ConstantLatency`` / ``UniformLatency`` /
+  ``ExponentialLatency``).  The heap, the message pool and the Mersenne
+  Twister state stay in C between cycle boundaries; observers run in
+  Python at every boundary with the RNG state handed back.  Partitions
+  are data the C loop reads (see
+  :meth:`~repro.simulation.arrayviews.FlatArrayEngine.set_partition`),
+  so partitioned runs stay on it;
+- the pure-Python loop over the kernel primitives, which runs in every
+  other case: no C compiler (or ``REPRO_NO_ACCEL``), a custom latency or
+  loss model, a custom RNG, or validated descriptors.  It also finishes
+  a slice in which a boundary observer swapped in a model the C loop
+  cannot express.
+
+An installed :class:`~repro.adversary.harness.FastEventAdversary`
+supplies its own Python loop instead of either.
 
 Differences from the cycle engines
 ----------------------------------
@@ -82,7 +96,7 @@ from repro.core.descriptor import Address
 from repro.core.errors import ConfigurationError, SimulationError
 from repro.core.policies import PeerSelection
 from repro.simulation._fastcore import Accelerator
-from repro.simulation.arrayviews import FlatArrayEngine
+from repro.simulation.arrayviews import FlatArrayEngine, group_cut
 from repro.simulation.base import NodeFactory
 from repro.simulation.network import (
     BernoulliLoss,
@@ -110,43 +124,6 @@ _DATA_BITS = _KIND_SHIFT + 2
 _TIMER = 0 << _KIND_SHIFT      # index = node id
 _REQUEST = 1 << _KIND_SHIFT    # index = message slot
 _REPLY = 2 << _KIND_SHIFT      # index = message slot
-
-
-class _AcceleratorRandom(random.Random):
-    """A ``random.Random`` facade over the C core's resident MT19937.
-
-    While the fast event engine runs an accelerated scheduling slice, the
-    Mersenne Twister state lives inside the C library; engine-level draws
-    (loss, latency) still have to come from the *same* logical stream, so
-    they are routed through this facade, whose :meth:`random` and
-    :meth:`getrandbits` are bit-exact reimplementations of CPython's over
-    the C-resident state.  Every derived method (``uniform``,
-    ``expovariate``, ``sample``, ...) reduces to these two, so arbitrary
-    latency/loss models stay deterministic and seamless.
-    """
-
-    def __init__(self, accel: Accelerator) -> None:
-        self._accel = accel
-        super().__init__()
-
-    def random(self) -> float:
-        return self._accel.rand_double()
-
-    def getrandbits(self, k: int) -> int:
-        if k <= 0:
-            raise ValueError("number of bits must be greater than zero")
-        rand_bits = self._accel.rand_bits
-        if k <= 32:
-            return rand_bits(k)
-        # CPython fills 32-bit words least-significant first, shifting the
-        # final partial word down; replicate exactly.
-        result = 0
-        shift = 0
-        while k > 32:
-            result |= rand_bits(32) << shift
-            shift += 32
-            k -= 32
-        return result | (rand_bits(k) << shift)
 
 
 class FastEventEngine(FlatArrayEngine):
@@ -260,12 +237,8 @@ class FastEventEngine(FlatArrayEngine):
         # [_pool_fresh, len(_m_len)) are preallocated untouched headroom
         # for the whole-slice C loop.
         self._pool_fresh = 0
-        # scratch for the accelerated path
-        self._c_out = array("q", (0, 0))
+        # MT19937 state scratch for the accelerated path
         self._rstate = array("q", bytes(8 * 625))
-        self._c_rng = (
-            _AcceleratorRandom(self._accel) if self._accel is not None else None
-        )
 
     # -- clocks ------------------------------------------------------------
 
@@ -339,23 +312,6 @@ class FastEventEngine(FlatArrayEngine):
         self._m_dst.frombytes(zero)
         self._m_ids.frombytes(self._zero_slot * slots)
         self._m_hops.frombytes(self._zero_slot * slots)
-        self._ptr_dirty = True
-
-    def _new_slot_c(self, accel: Accelerator) -> int:
-        """Take a slot, re-registering the buffers if anything grew.
-
-        ``_ptr_dirty`` covers *all* engine buffers (view arrays included,
-        per the kernel's contract), so clearing it requires re-issuing
-        both registrations -- pool growth is the usual trigger here, but
-        a callback that interned an address mid-slice must not leave the
-        C core holding stale view pointers.
-        """
-        slot = self._new_slot()
-        if self._ptr_dirty:
-            self._accel_setup(accel)
-            self._event_setup(accel)
-            self._ptr_dirty = False
-        return slot
 
     def _event_setup(self, accel: Accelerator) -> None:
         """Register the message pool buffers with the C core."""
@@ -408,26 +364,18 @@ class FastEventEngine(FlatArrayEngine):
                 pass
             elif (adversary := self.adversary) is not None:
                 adversary.run_events(self, end)
-            elif (accel := self._accel) is not None and not (
-                self.config.validate_descriptors
-            ) and type(
-                self.rng
-            ) is random.Random:
-                codes = self._c_model_codes()
-                if codes is not None and self.reachable is None:
-                    # built-in models, no reachability predicate: the
-                    # whole dispatch loop (heap included) runs natively
-                    # in C.  The slice bails out early if a boundary
-                    # observer installs a predicate or swaps in a custom
-                    # model mid-run...
-                    finished = self._run_events_c_full(accel, end, codes)
-                    if not finished:
-                        # ...and the per-step path finishes the slice.
-                        self._run_events_c(accel, end)
-                else:
-                    # custom models / reachability callbacks need Python
-                    # between protocol steps: one C call per step.
-                    self._run_events_c(accel, end)
+            elif (
+                (accel := self._accel) is not None
+                and not self.config.validate_descriptors
+                and type(self.rng) is random.Random
+                and (codes := self._c_model_codes()) is not None
+            ):
+                # The whole dispatch loop (heap included) runs natively
+                # in C.  It bails out early if a boundary observer swaps
+                # in a model it cannot express; the Python loop then
+                # finishes the slice.
+                if not self._run_events_c_full(accel, end, codes):
+                    self._run_events_python(end)
             else:
                 self._run_events_python(end)
             # No events left at or before `end`.  Trailing boundaries are
@@ -448,7 +396,7 @@ class FastEventEngine(FlatArrayEngine):
         Only the built-in model classes are expressible: the C side
         reproduces their exact ``random.Random`` float expressions (see
         ``fc_event_run``), so results stay byte-identical with the
-        Python paths.  Custom models fall back to the per-step loop.
+        Python loop.  Custom models run on the Python loop.
         """
         loss = self.loss
         if type(loss) is NoLoss:
@@ -504,18 +452,16 @@ class FastEventEngine(FlatArrayEngine):
 
         Everything returned here is state the reference event engine
         reads per send and that boundary observers may legitimately swap
-        mid-run (``TemporaryPartition`` installs ``reachable``; models
-        can be replaced): both interpreter loops bind it at slice start
-        AND re-bind through this one helper after every cycle boundary,
-        so the backends cannot drift apart on re-binding semantics.
-        Returns ``(reachable, latency_sample, loss_drops, no_loss,
+        mid-run (models can be replaced): both interpreter loops bind it
+        at slice start AND re-bind through this one helper after every
+        cycle boundary, so they cannot drift apart on re-binding
+        semantics.  Returns ``(latency_sample, loss_drops, no_loss,
         bernoulli_p, constant_delay, uniform, constant_delay_key)``.
         """
         no_loss, bernoulli_p, constant_delay, uniform = (
             self._specialized_models()
         )
         return (
-            self.reachable,
             self.latency.sample,
             self.loss.drops,
             no_loss,
@@ -565,7 +511,7 @@ class FastEventEngine(FlatArrayEngine):
         vlen = self._vlen
         row_of = self._row_of
         alive = self._alive
-        addr_of = self._addr_of
+        group = self._group
         m_ids = self._m_ids
         m_hops = self._m_hops
         m_len = self._m_len
@@ -585,7 +531,6 @@ class FastEventEngine(FlatArrayEngine):
         alive_at = alive.__getitem__
         rand = rng.random
         (
-            reachable,
             latency_sample,
             loss_drops,
             no_loss,
@@ -630,8 +575,8 @@ class FastEventEngine(FlatArrayEngine):
                     next_boundary = (self._boundary_index + 1) * ticks_per_period
                     boundary_key = next_boundary << tick_shift
                     seq = sched._seq
+                    group = self._group
                     (
-                        reachable,
                         latency_sample,
                         loss_drops,
                         no_loss,
@@ -685,9 +630,7 @@ class FastEventEngine(FlatArrayEngine):
                     base_key = key & tick_mask
                     if p >= 0:
                         sent += 1
-                        if reachable is not None and not reachable(
-                            addr_of[i], addr_of[p]
-                        ):
+                        if group is not None and group_cut(group, i, p):
                             lost += 1
                         elif no_loss or (
                             rand() >= bernoulli_p
@@ -791,9 +734,7 @@ class FastEventEngine(FlatArrayEngine):
                     free_append(slot)
                     if rslot >= 0:
                         sent += 1
-                        if reachable is not None and not reachable(
-                            addr_of[dst], addr_of[src]
-                        ):
+                        if group is not None and group_cut(group, dst, src):
                             lost += 1
                             free_append(rslot)
                         elif no_loss or (
@@ -861,273 +802,7 @@ class FastEventEngine(FlatArrayEngine):
         finally:
             # flush even when an observer raises mid-slice, so a caller
             # that catches and resumes sees consistent counters and
-            # scheduler state (the C paths guard the same way).
-            self.completed_exchanges += completed
-            self.failed_exchanges += failed
-            self.messages_sent += sent
-            self.messages_lost += lost
-            # monotonic guard: if an observer raised mid-boundary after
-            # pushing events, the scheduler's counter is already ahead of
-            # this local -- never roll it back, or later pushes would mint
-            # duplicate (tick, seq) keys and break FIFO ordering.
-            if seq > sched._seq:
-                sched._seq = seq
-            if last_key is not None:
-                sched.now_tick = last_key >> tick_shift
-
-    # -- the accelerated event loop ----------------------------------------
-
-    def _run_events_c(self, accel: Accelerator, end: int) -> None:
-        """Dispatch all events up to ``end`` through the C core.
-
-        One C call per protocol step (``fc_event_begin`` per timer,
-        ``fc_event_deliver`` per delivery); the Mersenne Twister state is
-        resident in C for the whole slice and handed back to the Python
-        ``Random`` around every cycle boundary (observers draw from
-        Python) and on return.  Loss/latency draws go through the
-        :class:`_AcceleratorRandom` facade against the resident state.
-        """
-        sched = self._sched
-        heap = sched._heap
-        tick_shift = sched._tick_shift
-        seq_shift = sched._seq_shift
-        data_mask = sched._data_mask
-        seq = sched._seq
-        ticks_per_period = self.ticks_per_period
-        tick_scale = self._tick_scale
-        rng = self.rng
-        c_rng = self._c_rng
-        alive = self._alive
-        addr_of = self._addr_of
-        m_src = self._m_src
-        m_dst = self._m_dst
-        free_slots = self._free_slots
-        pull = self.config.pull
-        out = self._c_out
-        out_ptr = Accelerator.pointer(out.buffer_info()[0])
-        state = self._rstate
-        state_ptr = Accelerator.pointer(state.buffer_info()[0])
-        event_begin = accel.event_begin
-        event_deliver = accel.event_deliver
-        completed = 0
-        failed = 0
-        sent = 0
-        lost = 0
-        next_boundary = (self._boundary_index + 1) * ticks_per_period
-
-        rand = accel.rand_double
-        (
-            reachable,
-            latency_sample,
-            loss_drops,
-            no_loss,
-            bernoulli_p,
-            constant_delay,
-            uniform,
-            constant_delay_key,
-        ) = self._hot_bindings(tick_shift)
-        free_pop = free_slots.pop
-        free_append = free_slots.append
-        # Control flow compares raw packed keys, not unpacked ticks: for
-        # any threshold tick T, key < T << shift  <=>  tick < T, because
-        # the low (seq | data) bits are always below 1 << shift.
-        end_key = ((end + 1) << tick_shift) - 1
-        boundary_key = next_boundary << tick_shift
-        period_key = ticks_per_period << tick_shift
-        tick_mask = ~((1 << tick_shift) - 1)  # key & tick_mask strips seq/data
-        last_key = None
-
-        self._accel_setup(accel)
-        self._event_setup(accel)
-        self._ptr_dirty = False
-        version, internal, gauss = rng.getstate()
-        state[:] = array("q", internal)
-        accel.load_state(state_ptr)
-        resident = True  # the authoritative MT state lives in C right now
-        try:
-            while heap:
-                key = heap[0]
-                if key > end_key:
-                    break
-                if key >= boundary_key:
-                    # hand the RNG and counters back for the observers.
-                    self.completed_exchanges += completed
-                    self.failed_exchanges += failed
-                    self.messages_sent += sent
-                    self.messages_lost += lost
-                    completed = failed = sent = lost = 0
-                    sched._seq = seq
-                    if last_key is not None:
-                        sched.now_tick = last_key >> tick_shift
-                    accel.store_state(state_ptr)
-                    rng.setstate((version, tuple(state), gauss))
-                    resident = False
-                    self._fire_boundaries(key >> tick_shift)
-                    next_boundary = (
-                        self._boundary_index + 1
-                    ) * ticks_per_period
-                    boundary_key = next_boundary << tick_shift
-                    seq = sched._seq
-                    (
-                        reachable,
-                        latency_sample,
-                        loss_drops,
-                        no_loss,
-                        bernoulli_p,
-                        constant_delay,
-                        uniform,
-                        constant_delay_key,
-                    ) = self._hot_bindings(tick_shift)
-                    version, internal, gauss = rng.getstate()
-                    state[:] = array("q", internal)
-                    # observers may have grown buffers or driven another
-                    # accelerated engine: re-register everything.
-                    self._accel_setup(accel)
-                    self._event_setup(accel)
-                    self._ptr_dirty = False
-                    accel.load_state(state_ptr)
-                    resident = True
-                    continue  # re-peek: observers may have pushed events
-                key = heappop(heap)
-                last_key = key
-                data = key & data_mask
-
-                if data < _REQUEST:  # timer; data is the bare node id
-                    i = data
-                    if not alive[i]:
-                        continue  # crashed: the timer dies with the node
-                    slot = free_pop() if free_slots else self._new_slot_c(accel)
-                    event_begin(i, slot, out_ptr)
-                    p = out[0]
-                    base = key & tick_mask  # strip seq/data: tick << tick_shift
-                    if p >= 0:
-                        sent += 1
-                        if reachable is not None and not reachable(
-                            addr_of[i], addr_of[p]
-                        ):
-                            lost += 1
-                            free_append(slot)
-                        elif no_loss or (
-                            rand() >= bernoulli_p
-                            if bernoulli_p is not None
-                            else not loss_drops(c_rng)
-                        ):
-                            if constant_delay is not None:
-                                delay_key = constant_delay_key
-                            elif uniform is not None:
-                                delay_key = int(
-                                    (uniform[0] + uniform[1] * rand())
-                                    * tick_scale
-                                ) << tick_shift
-                            else:
-                                delay = latency_sample(c_rng)
-                                if delay < 0:
-                                    # same guard EventEngine gets from
-                                    # EventScheduler.schedule
-                                    raise SimulationError(
-                                        "cannot schedule into the past: "
-                                        f"{delay}"
-                                    )
-                                delay_key = (
-                                    int(delay * tick_scale) << tick_shift
-                                )
-                            m_src[slot] = i
-                            m_dst[slot] = p
-                            heappush(
-                                heap,
-                                base
-                                + delay_key
-                                + ((seq << seq_shift) | _REQUEST | slot),
-                            )
-                            seq += 1
-                        else:
-                            lost += 1
-                            free_append(slot)
-                    else:
-                        free_append(slot)
-                    heappush(
-                        heap,
-                        base + period_key + ((seq << seq_shift) | data),
-                    )
-                    seq += 1
-
-                elif data < _REPLY:  # request delivery
-                    slot = data & _IDX_MASK
-                    dst = m_dst[slot]
-                    if not alive[dst]:
-                        failed += 1
-                        free_append(slot)
-                        continue
-                    src = m_src[slot]
-                    if pull:
-                        rslot = (
-                            free_pop()
-                            if free_slots
-                            else self._new_slot_c(accel)
-                        )
-                        event_deliver(dst, slot, rslot, out_ptr)
-                        completed += 1
-                        free_append(slot)
-                        sent += 1
-                        if reachable is not None and not reachable(
-                            addr_of[dst], addr_of[src]
-                        ):
-                            lost += 1
-                            free_append(rslot)
-                        elif no_loss or (
-                            rand() >= bernoulli_p
-                            if bernoulli_p is not None
-                            else not loss_drops(c_rng)
-                        ):
-                            if constant_delay is not None:
-                                delay_key = constant_delay_key
-                            elif uniform is not None:
-                                delay_key = int(
-                                    (uniform[0] + uniform[1] * rand())
-                                    * tick_scale
-                                ) << tick_shift
-                            else:
-                                delay = latency_sample(c_rng)
-                                if delay < 0:
-                                    # same guard EventEngine gets from
-                                    # EventScheduler.schedule
-                                    raise SimulationError(
-                                        "cannot schedule into the past: "
-                                        f"{delay}"
-                                    )
-                                delay_key = (
-                                    int(delay * tick_scale) << tick_shift
-                                )
-                            m_src[rslot] = dst
-                            m_dst[rslot] = src
-                            heappush(
-                                heap,
-                                (key & tick_mask)
-                                + delay_key
-                                + ((seq << seq_shift) | _REPLY | rslot),
-                            )
-                            seq += 1
-                        else:
-                            lost += 1
-                            free_append(rslot)
-                    else:
-                        event_deliver(dst, slot, -1, out_ptr)
-                        completed += 1
-                        free_append(slot)
-
-                else:  # reply delivery
-                    slot = data & _IDX_MASK
-                    dst = m_dst[slot]
-                    if not alive[dst]:
-                        failed += 1
-                        free_append(slot)
-                        continue
-                    event_deliver(dst, slot, -1, out_ptr)
-                    free_append(slot)
-        finally:
-            if resident:
-                accel.store_state(state_ptr)
-                rng.setstate((version, tuple(state), gauss))
+            # scheduler state (the C loop guards the same way).
             self.completed_exchanges += completed
             self.failed_exchanges += failed
             self.messages_sent += sent
@@ -1157,13 +832,13 @@ class FastEventEngine(FlatArrayEngine):
         without touching the interpreter until a cycle boundary, the end
         of the slice, or a capacity limit.  Observers run in Python at
         every boundary with the RNG state and all bookkeeping handed
-        back, exactly like the other two paths.
+        back, exactly like the Python loop.
 
         Returns ``True`` when the slice completed, ``False`` when a
-        boundary observer installed a reachability predicate or swapped
-        in a model the C loop cannot express -- all state is handed back
-        consistently and the caller finishes the slice on the per-step
-        path, which honors those changes.
+        boundary observer swapped in a latency or loss model other than
+        the one the loop was entered with -- all state is handed back
+        consistently and the caller finishes the slice on the Python
+        loop, which honors the change.
         """
         loss_code, loss_p, lat_code, const_delay, lat_a, lat_b = codes
         sched = self._sched
@@ -1210,7 +885,6 @@ class FastEventEngine(FlatArrayEngine):
 
         self._accel_setup(accel)
         self._event_setup(accel)
-        self._ptr_dirty = False
         version, internal, gauss = rng.getstate()
         state[:] = array("q", internal)
         accel.load_state(state_ptr)
@@ -1264,7 +938,6 @@ class FastEventEngine(FlatArrayEngine):
                     # drain their pushes into the C-side heap.
                     self._accel_setup(accel)
                     self._event_setup(accel)
-                    self._ptr_dirty = False
                     if heap:
                         while hlen[0] + len(heap) > heap_cap:
                             ht.frombytes(pad)
@@ -1285,13 +958,9 @@ class FastEventEngine(FlatArrayEngine):
                         heap.clear()
                     accel.load_state(state_ptr)
                     resident = True
-                    if (
-                        self.reachable is not None
-                        or self._c_model_codes() != codes
-                    ):
-                        # an observer installed a reachability predicate
-                        # or swapped the latency/loss models: hand the
-                        # rest of the slice to the per-step path.
+                    if self._c_model_codes() != codes:
+                        # an observer swapped the latency/loss models:
+                        # hand the rest of the slice to the Python loop.
                         return False
                 elif reason == 2:  # heap arrays full: grow and re-enter
                     ht.frombytes(pad)
@@ -1303,7 +972,6 @@ class FastEventEngine(FlatArrayEngine):
                     pool_cap = len(self._m_len)
                     flist.frombytes(bytes(8 * self._POOL_HEADROOM))
                     self._event_setup(accel)
-                    self._ptr_dirty = False
                 else:  # pragma: no cover - unknown reason code
                     raise RuntimeError(f"fc_event_run returned {reason}")
         finally:

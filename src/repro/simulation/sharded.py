@@ -55,11 +55,12 @@ Shared-memory discipline
 Within a round, shard workers write only the view rows of the ids they
 own (phase 1 ages own rows; phases 2/3 merge into destination rows,
 and destinations are gathered per-shard), and read only frozen state:
-``alive`` and ``row_of`` change exclusively between rounds, in the
-parent (churn, observers, joins all happen at cycle barriers).  The
-message boxes are single-writer (each shard fills its own outbox) and
-are only read after the phase barrier.  So the protocol needs no locks
--- the barriers are the synchronization.
+``alive``, ``row_of`` and the partition ``group`` array change
+exclusively between rounds, in the parent (churn, observers, joins and
+partitions all happen at cycle barriers).  The message boxes are
+single-writer (each shard fills its own outbox) and are only read after
+the phase barrier.  So the protocol needs no locks -- the barriers are
+the synchronization.
 
 The parent process keeps the engine's public face: ``views()``,
 observers, ``crash_random_nodes`` and the scenario machinery all run in
@@ -82,7 +83,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.config import ProtocolConfig
 from repro.core.errors import ConfigurationError
 from repro.simulation._fastcore import Accelerator, load_accelerator
-from repro.simulation.arrayviews import _POLICY_CODE, FlatArrayEngine
+from repro.simulation.arrayviews import (
+    _POLICY_CODE,
+    FlatArrayEngine,
+    group_cut,
+)
 
 __all__ = [
     "ShardedCycleEngine",
@@ -358,13 +363,11 @@ class ShmVector:
 # record as int64 [src, dst, npay, ids[c+1], hops[c+1]].
 
 
-def _phase_request_py(store, seed, rnd, shard, nshards, n_ids,
-                      reachable=None):
+def _phase_request_py(store, seed, rnd, shard, nshards, n_ids):
     """Phase 1 for one shard's ids: age, select, emit request records.
 
-    Returns ``(messages, failed)``; ``failed`` is only nonzero under a
-    ``reachable`` predicate (partition scenarios), which the engine
-    evaluates serially -- dead destinations are counted at delivery.
+    Returns ``(messages, failed)``; ``failed`` counts the exchanges an
+    installed partition cut -- dead destinations are counted at delivery.
     """
     config = store.config
     c = config.view_size
@@ -373,6 +376,7 @@ def _phase_request_py(store, seed, rnd, shard, nshards, n_ids,
     vlen = store._vlen
     row_of = store._row_of
     alive = store._alive
+    group = store._group
     ps = _POLICY_CODE[config.peer_selection.value]
     push = config.push
     omniscient = store.omniscient_peer_selection
@@ -409,9 +413,7 @@ def _phase_request_py(store, seed, rnd, shard, nshards, n_ids,
                 p = vids[base]
             else:
                 p = vids[end - 1]
-        if reachable is not None and not reachable(
-            store._addr_of[i], store._addr_of[p]
-        ):
+        if group is not None and group_cut(group, i, p):
             failed += 1
             continue
         if push:
@@ -533,7 +535,7 @@ def _deliver_c(accel, store, seed, rnd, is_request, shard, nshards,
 # The shard worker.
 # ---------------------------------------------------------------------------
 
-_STORE_ROLES = ("vids", "vhops", "vlen", "row_of", "alive")
+_STORE_ROLES = ("vids", "vhops", "vlen", "row_of", "alive", "group")
 
 
 class _ShmKernel:
@@ -557,10 +559,15 @@ class _ShmKernel:
         self._vlen = None
         self._row_of = None
         self._alive = None
+        self._group = None
 
 
 def _worker_attach(shell, attachments, names):
-    """(Re)attach whatever segments changed; return the box lists."""
+    """(Re)attach whatever segments changed; return the box lists.
+
+    The ``group`` segment is optional: ``None`` while no partition is
+    installed.
+    """
     for role in _STORE_ROLES:
         name = names[role]
         current = attachments.get(role)
@@ -568,13 +575,16 @@ def _worker_attach(shell, attachments, names):
             continue
         if current is not None:
             current.close()
-        attachments[role] = ShmVector.attach(
-            name, "B" if role == "alive" else "q")
+            del attachments[role]
+        if name is not None:
+            attachments[role] = ShmVector.attach(
+                name, "B" if role == "alive" else "q")
     shell._vids = attachments["vids"]
     shell._vhops = attachments["vhops"]
     shell._vlen = attachments["vlen"]
     shell._row_of = attachments["row_of"]
     shell._alive = attachments["alive"]
+    shell._group = attachments.get("group")
     for kind in ("req", "rep"):
         for k, name in enumerate(names[kind]):
             key = (kind, k)
@@ -594,7 +604,7 @@ def _worker_main(shard, nshards, conn, config, phase_seed, omniscient,
     """Shard worker loop: strict request/response over the pipe.
 
     Commands: ``("segs", names)`` -> ``"ok"`` after (re)attaching;
-    ``("req", rnd, n_ids)`` -> request-record count;
+    ``("req", rnd, n_ids)`` -> ``(request-record count, cut count)``;
     ``("dreq", rnd, counts)`` -> ``(completed, failed, n_replies)``;
     ``("drep", rnd, counts)`` -> ``"ok"``; ``("stop",)`` exits.
     """
@@ -607,6 +617,7 @@ def _worker_main(shard, nshards, conn, config, phase_seed, omniscient,
     stride = 2 * (c + 1) + 3
     pull = config.pull
     pointer = Accelerator.pointer
+    ncut = array("q", (0,))
     try:
         while True:
             try:
@@ -627,12 +638,14 @@ def _worker_main(shard, nshards, conn, config, phase_seed, omniscient,
                     FlatArrayEngine._accel_setup(shell, accel)
                     n = accel.shard_request(
                         phase_seed, rnd, shard, nshards, n_ids,
-                        pointer(box.buffer_info()[0]))
+                        pointer(box.buffer_info()[0]),
+                        pointer(ncut.buffer_info()[0]))
+                    cut = ncut[0]
                 else:
-                    messages, _ = _phase_request_py(
+                    messages, cut = _phase_request_py(
                         shell, phase_seed, rnd, shard, nshards, n_ids)
                     n = _pack_records(box, stride, c, messages)
-                conn.send(int(n))
+                conn.send((int(n), int(cut)))
             elif op == "dreq":
                 rnd, counts = cmd[1], cmd[2]
                 if accel is not None:
@@ -721,10 +734,13 @@ class ShardedCycleEngine(FlatArrayEngine):
     function of ``(seed, protocol, scenario)`` -- independent of K and
     of the backend.
 
-    Rounds with a ``reachable`` predicate installed (partition
-    scenarios) run serially in the parent for that round -- the
-    predicate is an arbitrary Python callable -- with identical
-    semantics, so partitions too are K-independent.
+    Partitions (:meth:`set_partition`) are data like the views: the
+    group array lives in shared memory next to them, every shard applies
+    the cut in its request phase -- after peer selection, counted as a
+    failed exchange -- and reports its cut count to the parent.  The
+    test reads only the sender's and the recipient's group, so
+    partitioned rounds stay on the serial C or parallel path and stay
+    K-independent.
     """
 
     shuffle_each_cycle = False
@@ -793,9 +809,9 @@ class ShardedCycleEngine(FlatArrayEngine):
         self._notify_before_cycle()
         rnd = self.cycle
         pull = self.config.pull
-        if self.shards > 1 and self.reachable is None:
+        if self.shards > 1:
             completed, failed = self._run_round_parallel(rnd, pull)
-        elif self._accel is not None and self.reachable is None:
+        elif self._accel is not None:
             completed, failed = self._run_round_serial_c(rnd, pull)
         else:
             completed, failed = self._run_round_serial_py(rnd, pull)
@@ -814,7 +830,7 @@ class ShardedCycleEngine(FlatArrayEngine):
     def _run_round_serial_py(self, rnd: int, pull: bool):
         n_ids = len(self._addr_of)
         messages, failed0 = _phase_request_py(
-            self, self._phase_seed, rnd, 0, 1, n_ids, self.reachable)
+            self, self._phase_seed, rnd, 0, 1, n_ids)
         completed, failed, replies = _phase_deliver_py(
             self, self._phase_seed, rnd, True, messages, pull)
         if replies:
@@ -833,13 +849,16 @@ class ShardedCycleEngine(FlatArrayEngine):
             self._ser_req = array("q", bytes(nbytes))
             self._ser_rep = array("q", bytes(nbytes)) if pull else None
         self._accel_setup(accel)
+        ncut = array("q", (0,))
         nreq = accel.shard_request(
             self._phase_seed, rnd, 0, 1, n_ids,
-            Accelerator.pointer(self._ser_req.buffer_info()[0]))
+            Accelerator.pointer(self._ser_req.buffer_info()[0]),
+            Accelerator.pointer(ncut.buffer_info()[0]))
         out = _deliver_c(
             accel, self, self._phase_seed, rnd, True, 0, 1,
             (self._ser_req,), (nreq,), pull, self._ser_rep if pull else None)
-        completed, failed, nrep = int(out[0]), int(out[1]), int(out[2])
+        completed, nrep = int(out[0]), int(out[2])
+        failed = ncut[0] + int(out[1])
         if pull and nrep:
             _deliver_c(
                 accel, self, self._phase_seed, rnd, False, 0, 1,
@@ -855,10 +874,15 @@ class ShardedCycleEngine(FlatArrayEngine):
         conns = self._conns
         for conn in conns:
             conn.send(("req", rnd, n_ids))
-        counts = [conn.recv() for conn in conns]
+        counts = []
+        failed = 0
+        for conn in conns:
+            count, cut = conn.recv()
+            counts.append(count)
+            failed += cut
         for conn in conns:
             conn.send(("dreq", rnd, counts))
-        completed = failed = 0
+        completed = 0
         rep_counts = []
         for conn in conns:
             done, lost, nrep = conn.recv()
@@ -942,6 +966,7 @@ class ShardedCycleEngine(FlatArrayEngine):
             "vlen": self._vlen.name,
             "row_of": self._row_of.name,
             "alive": self._alive.name,
+            "group": None if self._group is None else self._group.name,
             "req": tuple(shm.name for shm in self._req_shm),
             "rep": tuple(shm.name for shm in self._rep_shm),
         }
@@ -951,6 +976,15 @@ class ShardedCycleEngine(FlatArrayEngine):
             for conn in self._conns:
                 conn.recv()
             self._sent_names = names
+
+    def set_partition(self, groups) -> None:
+        """As :meth:`FlatArrayEngine.set_partition`; with shards the group
+        array moves to shared memory, where the workers read it."""
+        super().set_partition(groups)
+        if self._group is not None and self.shards > 1:
+            shared = ShmVector("q", len(self._group))
+            shared.frombytes(self._group.tobytes())
+            self._group = shared
 
     def close(self) -> None:
         """Stop the shard workers and release the message boxes.

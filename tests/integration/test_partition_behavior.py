@@ -9,12 +9,15 @@ These tests split a converged overlay in two for a while, heal the
 network, and check who can find the other side again.
 """
 
+import pytest
+
 from repro.core.config import ProtocolConfig
 from repro.extensions.second_view import CombinedOverlay
 from repro.graph.components import num_components
 from repro.graph.snapshot import GraphSnapshot
 from repro.simulation.churn import TemporaryPartition
 from repro.simulation.engine import CycleEngine
+from repro.simulation.fast import FastCycleEngine
 from repro.simulation.scenarios import random_bootstrap
 
 N, C = 200, 10
@@ -23,9 +26,9 @@ PARTITION_CYCLES = 20
 POST_CYCLES = 15
 
 
-def run_partition_episode(label, seed=0):
+def run_partition_episode(label, seed=0, engine_cls=CycleEngine):
     """Converge, partition in two, heal; return (cross_links, components)."""
-    engine = CycleEngine(ProtocolConfig.from_label(label, C), seed=seed)
+    engine = engine_cls(ProtocolConfig.from_label(label, C), seed=seed)
     random_bootstrap(engine, N)
     engine.run(PRE_CYCLES)
     partition = TemporaryPartition(
@@ -47,24 +50,35 @@ def run_partition_episode(label, seed=0):
     return cross_links, components
 
 
+@pytest.mark.parametrize(
+    "engine_cls", [CycleEngine, FastCycleEngine], ids=["cycle", "fast"]
+)
 class TestPartitionMemory:
-    def test_head_selection_forgets_the_other_side(self):
-        cross_links, components = run_partition_episode("(rand,head,pushpull)")
+    def test_head_selection_forgets_the_other_side(self, engine_cls):
+        cross_links, components = run_partition_episode(
+            "(rand,head,pushpull)", engine_cls=engine_cls
+        )
         # Quick self-healing purged almost all cross-partition entries...
         assert cross_links < 0.05 * N * C
         # ...so after the network heals, the overlay stays fractured.
         assert components > 1
 
-    def test_rand_selection_remembers_and_reconnects(self):
-        cross_links, components = run_partition_episode("(rand,rand,pushpull)")
+    def test_rand_selection_remembers_and_reconnects(self, engine_cls):
+        cross_links, components = run_partition_episode(
+            "(rand,rand,pushpull)", engine_cls=engine_cls
+        )
         # rand view selection retains a large share of cross entries...
         assert cross_links > 0.2 * N * C
         # ...and the overlay reunites once the network heals.
         assert components == 1
 
-    def test_memory_gap_is_large(self):
-        head_links, _ = run_partition_episode("(rand,head,pushpull)", seed=1)
-        rand_links, _ = run_partition_episode("(rand,rand,pushpull)", seed=1)
+    def test_memory_gap_is_large(self, engine_cls):
+        head_links, _ = run_partition_episode(
+            "(rand,head,pushpull)", seed=1, engine_cls=engine_cls
+        )
+        rand_links, _ = run_partition_episode(
+            "(rand,rand,pushpull)", seed=1, engine_cls=engine_cls
+        )
         assert rand_links > 10 * head_links
 
 
@@ -91,15 +105,11 @@ class TestCombinedServiceSurvivesPartition:
             address: index % 2
             for index, address in enumerate(overlay.addresses())
         }
-
-        def reachable(sender, recipient):
-            return groups.get(sender) == groups.get(recipient)
-
         for engine in overlay.engines:
-            engine.reachable = reachable
+            engine.set_partition(groups)
         overlay.run(PARTITION_CYCLES)
         for engine in overlay.engines:
-            engine.reachable = None
+            engine.set_partition(None)
         overlay.run(POST_CYCLES)
 
         # The head instance alone fractured; the union did not.

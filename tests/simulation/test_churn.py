@@ -12,7 +12,10 @@ from repro.simulation.churn import (
     massive_failure,
 )
 from repro.simulation.engine import CycleEngine
+from repro.simulation.fast import FastCycleEngine
+from repro.simulation.fast_event import FastEventEngine
 from repro.simulation.scenarios import random_bootstrap
+from repro.simulation.sharded import ShardedCycleEngine
 
 
 def make_engine(c=5, seed=0):
@@ -112,11 +115,11 @@ class TestTemporaryPartition:
         engine.add_observer(partition)
         engine.run(1)
         assert partition.active
-        assert engine.reachable is not None
+        assert engine._groups == partition.groups
         group0 = partition.group_members(engine, 0)
         group1 = partition.group_members(engine, 1)
-        assert engine.reachable(group0[0], group0[1])
-        assert not engine.reachable(group0[0], group1[0])
+        assert not engine._cut(group0[0], group0[1])
+        assert engine._cut(group0[0], group1[0])
 
     def test_heals_after_end_cycle(self):
         engine = make_engine()
@@ -125,7 +128,8 @@ class TestTemporaryPartition:
         engine.add_observer(partition)
         engine.run(5)
         assert not partition.active
-        assert engine.reachable is None
+        assert engine._groups is None
+        assert not engine._cut(*engine.addresses()[:2])
 
     def test_groups_cover_population(self):
         engine = make_engine()
@@ -143,14 +147,33 @@ class TestTemporaryPartition:
         with pytest.raises(ConfigurationError):
             TemporaryPartition(0, 5, n_groups=1)
 
-    def test_nodes_joining_mid_partition_are_unconstrained(self):
-        engine = make_engine()
+    @pytest.mark.parametrize(
+        "engine_cls", [CycleEngine, FastCycleEngine, FastEventEngine,
+                       ShardedCycleEngine],
+        ids=["cycle", "fast", "fast-event", "fast-sharded"],
+    )
+    def test_nodes_joining_mid_partition_are_unconstrained(self, engine_cls):
+        config = ProtocolConfig.from_label("(rand,head,pushpull)", 5)
+        engine = engine_cls(config, seed=0)
         random_bootstrap(engine, 10)
         partition = TemporaryPartition(start_cycle=0, end_cycle=9)
         engine.add_observer(partition)
         engine.run(1)
-        newcomer = engine.add_node(contacts=[engine.addresses()[0]])
-        assert engine.reachable(newcomer, engine.addresses()[0])
+        old = engine.addresses()
+        newcomer = engine.add_node(contacts=[old[0]])
+        assert newcomer not in partition.groups
+        if engine_cls is CycleEngine:
+            assert not any(engine._cut(newcomer, a) for a in old)
+            assert not any(engine._cut(a, newcomer) for a in old)
+        else:
+            # flat-array engines: the newcomer's id is interned after the
+            # split, so its slot in the group array reads -1.
+            group = engine._group
+            assert len(group) == len(engine._addr_of)
+            assert group[engine._id_of[newcomer]] == -1
+            assert sorted(group[engine._id_of[a]] for a in old) == (
+                [0] * 5 + [1] * 5
+            )
 
 
 def test_dead_link_fraction_empty_engine():

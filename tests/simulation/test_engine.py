@@ -145,14 +145,22 @@ class TestExecution:
         engine.run_cycle()
         assert engine.completed_exchanges == 2
 
-    def test_reachability_predicate_blocks_exchanges(self):
+    def test_partition_blocks_exchanges(self):
         engine = make_engine()
         engine.add_node("a", contacts=["b"])
         engine.add_node("b", contacts=["a"])
-        engine.reachable = lambda src, dst: False
+        engine.set_partition({"a": 0, "b": 1})  # one group per node
         engine.run_cycle()
         assert engine.completed_exchanges == 0
         assert engine.failed_exchanges == 2
+
+    def test_partition_group_ids_validated(self):
+        engine = make_engine()
+        with pytest.raises(ConfigurationError):
+            engine.set_partition({"a": -1})
+        with pytest.raises(ConfigurationError):
+            engine.set_partition({"a": "x"})
+        assert engine._groups is None
 
     def test_views_converge_to_full(self):
         engine = make_engine(c=5)

@@ -185,14 +185,18 @@ class TestExecution:
         assert engine.failed_exchanges == 1
         assert engine.completed_exchanges == 0
 
-    def test_reachability_predicate_blocks_exchanges(self):
-        engine = make_engine()
+    @pytest.mark.parametrize("accelerate", [False, None])
+    def test_partition_blocks_exchanges(self, accelerate):
+        engine = make_engine(accelerate=accelerate)
         engine.add_node("a", contacts=["b"])
         engine.add_node("b", contacts=["a"])
-        engine.reachable = lambda src, dst: False
+        engine.set_partition({"a": 0, "b": 1})  # one group per node
         engine.run_cycle()
         assert engine.completed_exchanges == 0
         assert engine.failed_exchanges == 2
+        engine.set_partition(None)  # heal
+        engine.run_cycle()
+        assert engine.completed_exchanges == 2
 
     def test_views_converge_to_full(self):
         engine = make_engine(c=5)

@@ -204,13 +204,20 @@ class TestDifferentialEdgeModes:
             results.append(run_scenario(engine))
         assert results[0] == results[1]
 
-    def test_reachability_predicate(self):
+    @pytest.mark.parametrize("accelerate", BACKENDS)
+    def test_group_partition(self, accelerate):
+        # Three groups, with every seventh node left unconstrained (-1 in
+        # the flat group array).
         config = ProtocolConfig.from_label("(rand,head,pushpull)", 6)
         results = []
-        for cls in (CycleEngine, FastCycleEngine):
-            engine = cls(config, seed=11)
+        for engine in (
+            CycleEngine(config, seed=11),
+            FastCycleEngine(config, seed=11, accelerate=accelerate),
+        ):
             random_bootstrap(engine, 40)
-            engine.reachable = lambda src, dst: (src + dst) % 5 != 0
+            engine.set_partition(
+                {a: a % 3 for a in engine.addresses() if a % 7}
+            )
             engine.run(12)
             results.append(
                 (
@@ -220,3 +227,4 @@ class TestDifferentialEdgeModes:
                 )
             )
         assert results[0] == results[1]
+        assert results[0][2] > 0  # the partition cut exchanges

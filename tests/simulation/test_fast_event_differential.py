@@ -10,10 +10,10 @@ exchange/message counters, and an indistinguishable post-run generator
 state.  Statistical assertions ride on top so a future relaxation of the
 exactness contract would still be caught at the distribution level.
 
-When a C compiler is available both accelerated paths are differentially
-tested as well: the whole-slice C loop (built-in latency/loss models)
-and the per-step hybrid (exercised here through a custom latency model
-and through reachability predicates).
+When a C compiler is available the whole-slice C loop (built-in
+latency/loss models, with and without partitions) is differentially
+tested as well; a custom latency model keeps even an accelerated engine
+on the Python loop.
 
 The cross-process class mirrors ``test_determinism.py`` at the process
 level: the same seed must produce the same overlay fingerprint in a
@@ -164,9 +164,9 @@ class TestDifferential:
 class _TriangularLatency(LatencyModel):
     """A latency model outside the built-in set: sum of two uniforms.
 
-    Forces the accelerated engine onto the per-step hybrid path, whose
-    draws go through the C-backed ``random.Random`` facade -- the
-    differential therefore pins that facade's bit-exactness too.
+    The whole-slice C loop cannot express it, so even an accelerated
+    engine runs the Python loop; the differential pins that loop's
+    generic ``latency.sample(rng)`` call site.
     """
 
     def sample(self, rng):
@@ -249,11 +249,11 @@ class TestDifferentialEdgeModes:
         assert results[0] == results[1]
 
     def test_mid_run_partition_observer(self, accelerate):
-        # TemporaryPartition installs engine.reachable at a cycle
-        # boundary *mid-run*; the whole-slice C loop must hand the rest
-        # of the slice to the per-step path when that happens
-        # (regression: the accelerated path used to keep running without
-        # the predicate, silently dropping zero cross-partition messages).
+        # TemporaryPartition installs its groups at a cycle boundary
+        # *mid-run* and heals them at a later one; the whole-slice C loop
+        # must pick up each change at the boundary where it happens
+        # (regression: the accelerated path once kept running without
+        # the partition, silently dropping zero cross-partition messages).
         from repro.simulation.churn import TemporaryPartition
 
         config = ProtocolConfig.from_label("(rand,head,pushpull)", VIEW_SIZE)
@@ -281,7 +281,9 @@ class TestDifferentialEdgeModes:
         assert results[0][3] > 0  # the partition genuinely dropped traffic
         assert results[0] == results[1]
 
-    def test_reachability_predicate(self, accelerate):
+    def test_group_partition(self, accelerate):
+        # Three groups, every seventh node unconstrained; Bernoulli loss
+        # checks that a cut message consumes no loss draw.
         config = ProtocolConfig.from_label("(rand,head,pushpull)", VIEW_SIZE)
         results = []
         for cls, kwargs in (
@@ -289,10 +291,16 @@ class TestDifferentialEdgeModes:
             (FastEventEngine, {"accelerate": accelerate}),
         ):
             engine = cls(
-                config, seed=11, latency=ConstantLatency(0.1), **kwargs
+                config,
+                seed=11,
+                latency=ConstantLatency(0.1),
+                loss=BernoulliLoss(0.05),
+                **kwargs,
             )
             random_bootstrap(engine, 30)
-            engine.reachable = lambda src, dst: (src + dst) % 5 != 0
+            engine.set_partition(
+                {a: a % 3 for a in engine.addresses() if a % 7}
+            )
             engine.run(10)
             results.append(
                 (

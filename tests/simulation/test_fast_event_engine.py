@@ -170,11 +170,12 @@ class TestExecution:
         engine.run(2)
         assert engine.failed_exchanges > 0
 
-    def test_reachability_predicate_blocks_messages(self):
-        engine = make_engine()
+    @pytest.mark.parametrize("accelerate", [False, None])
+    def test_partition_blocks_messages(self, accelerate):
+        engine = make_engine(accelerate=accelerate)
         engine.add_node("a", contacts=["b"])
         engine.add_node("b", contacts=["a"])
-        engine.reachable = lambda src, dst: False
+        engine.set_partition({"a": 0, "b": 1})  # one group per node
         engine.run(3)
         assert engine.completed_exchanges == 0
         assert engine.messages_lost > 0

@@ -166,18 +166,23 @@ class TestEdgeModes:
         assert results[0] == results[1]
         assert results[0]["failed"] > 0  # churn phase exercises dead peers
 
-    def test_reachability_predicate_matches_across_shards(self):
-        # Partition scenarios fall back to the in-parent serial phases;
-        # results must still be independent of the configured shard count.
+    @pytest.mark.parametrize("accelerate", BACKENDS)
+    def test_group_partition_matches_across_shards(self, accelerate):
+        # Every shard applies the cut in its own request phase and
+        # reports its cut count; results must still be independent of the
+        # configured shard count.  Three groups, every seventh node
+        # unconstrained.
         config = grid_config("(rand,head,pushpull)", 0, 0)
         results = []
         for shards in (1, 2):
             engine = ShardedCycleEngine(
-                config, seed=11, accelerate=False, shards=shards
+                config, seed=11, accelerate=accelerate, shards=shards
             )
             try:
                 random_bootstrap(engine, 40)
-                engine.reachable = lambda src, dst: (src + dst) % 5 != 0
+                engine.set_partition(
+                    {a: a % 3 for a in engine.addresses() if a % 7}
+                )
                 engine.run(8)
                 results.append(
                     (

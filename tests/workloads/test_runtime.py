@@ -231,6 +231,7 @@ class TestExecution:
         )
         runtime = prepare_run(spec, NEWSCAST, n_nodes=20, seed=0)
         runtime.run_to_cycle(4)
-        assert runtime.engine.reachable is not None  # split active
+        groups = runtime.engine._groups  # split active
+        assert sorted(groups.values()) == [0] * 10 + [1] * 10
         runtime.run_to_end()
-        assert runtime.engine.reachable is None  # healed
+        assert runtime.engine._groups is None  # healed
